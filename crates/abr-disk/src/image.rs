@@ -136,11 +136,20 @@ pub fn load<R: Read>(mut r: R) -> Result<Disk, ImageError> {
 
 /// Fletcher-style 64-bit checksum over a byte slice (used for the disk
 /// image format and the on-disk block table).
+///
+/// Input is read as little-endian 32-bit words; a final partial word is
+/// zero-padded.
 pub fn fletcher64(bytes: &[u8]) -> u64 {
     let (mut a, mut b) = (0u64, 0u64);
-    for chunk in bytes.chunks(4) {
+    let mut words = bytes.chunks_exact(4);
+    for w in &mut words {
+        a = a.wrapping_add(u64::from(u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
+        b = b.wrapping_add(a);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
         let mut w = [0u8; 4];
-        w[..chunk.len()].copy_from_slice(chunk);
+        w[..tail.len()].copy_from_slice(tail);
         a = a.wrapping_add(u64::from(u32::from_le_bytes(w)));
         b = b.wrapping_add(a);
     }
@@ -201,5 +210,34 @@ mod tests {
         let back = load(&img[..]).unwrap();
         assert_eq!(back.store().written_sectors(), 0);
         assert_eq!(back.model().name, "Fujitsu M2266");
+    }
+
+    /// Deterministic test bytes: every value occurs, none is padding.
+    fn bytes(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn fletcher64_is_pinned() {
+        // Every tail length 0-3 of a 4-byte word, twice over, plus one
+        // buffer the size of a large table region; the literals were
+        // produced by the original chunk-copying implementation.
+        let short: Vec<u64> = (0..10).map(|n| fletcher64(&bytes(n))).collect();
+        assert_eq!(
+            short,
+            [
+                0x0000_0000_0000_0000,
+                0x0000_000b_0000_000b,
+                0x0000_300b_0000_300b,
+                0x0055_300b_0055_300b,
+                0x7a55_300b_7a55_300b,
+                0xf4aa_60b5_7a55_30aa,
+                0xf4ab_24b5_7a55_f4aa,
+                0xf594_24b5_7b3e_f4aa,
+                0x0394_24b5_893e_f4aa,
+                0x8cd3_1992_893e_f4dd,
+            ]
+        );
+        assert_eq!(fletcher64(&bytes(60 * 1024)), 0xc699_5200_e1a6_3c00);
     }
 }

@@ -249,22 +249,24 @@ impl BlockTable {
     }
 
     /// All entries sorted by slot (deterministic order for cleaning).
-    /// The reverse array is already slot-ordered, so this is a single
-    /// in-order scan — no sort.
     pub fn entries_by_slot(&self) -> Vec<(u64, Entry)> {
-        let mut v = Vec::with_capacity(self.len);
-        let slots = self
-            .rev
+        self.by_slot().collect()
+    }
+
+    /// Entries in slot order. The reverse array is already slot-ordered,
+    /// so this is a single in-order scan — no sort; the dirty bit comes
+    /// from the forward cell.
+    fn by_slot(&self) -> impl Iterator<Item = (u64, Entry)> + '_ {
+        self.rev
             .iter()
             .enumerate()
-            .filter(|&(_, &orig)| orig != ABSENT)
             .map(|(slot, &orig)| (slot as u32, orig))
-            .chain(self.rev_spill.iter().map(|(&s, &o)| (s, o)));
-        for (slot, orig) in slots {
-            let dirty = self.lookup(orig).map(|e| e.dirty).unwrap_or(false);
-            v.push((orig, Entry { slot, dirty }));
-        }
-        v
+            .chain(self.rev_spill.iter().map(|(&s, &o)| (s, o)))
+            .filter(|&(_, orig)| orig != ABSENT)
+            .map(|(slot, orig)| {
+                let dirty = self.fwd_cell(orig).is_some_and(|c| unpack(c).dirty);
+                (orig, Entry { slot, dirty })
+            })
     }
 
     /// Check that the forward (block → slot) and reverse (slot → block)
@@ -294,6 +296,37 @@ impl BlockTable {
         }
     }
 
+    /// Check that `bytes` — a table-region image — decodes to exactly
+    /// this table: the same entries in the same slots with the same dirty
+    /// bits. Sanitize builds only.
+    #[cfg(feature = "sanitize")]
+    pub fn check_region_image(&self, bytes: &[u8]) -> Result<(), String> {
+        let back = BlockTable::decode_region(bytes).map_err(|e| format!("image: {e}"))?;
+        let sorted = |t: &BlockTable| {
+            let mut v: Vec<(u64, Entry)> = t.iter().collect();
+            v.sort_unstable_by_key(|&(orig, _)| orig);
+            v
+        };
+        if back.len() != self.len() || sorted(&back) != sorted(self) {
+            return Err(format!(
+                "image holds {} entries that differ from the {} in memory",
+                back.len(),
+                self.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Panic unless `bytes` decodes to exactly this table (see
+    /// [`BlockTable::check_region_image`]). Sanitize builds only.
+    #[cfg(feature = "sanitize")]
+    #[track_caller]
+    pub fn assert_region_image(&self, bytes: &[u8]) {
+        if let Err(e) = self.check_region_image(bytes) {
+            panic!("block table image mismatch: {e}");
+        }
+    }
+
     /// Deliberately desynchronize the reverse map — a test hook proving
     /// the sanitizer trips. Sanitize builds only.
     #[cfg(feature = "sanitize")]
@@ -307,11 +340,13 @@ impl BlockTable {
         let mut buf = Vec::with_capacity(16 + self.len * 17 + 8);
         buf.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
         buf.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for (orig, e) in self.entries_by_slot() {
-            buf.extend_from_slice(&orig.to_le_bytes());
-            buf.extend_from_slice(&e.slot.to_le_bytes());
-            buf.extend_from_slice(&[0u8; 4]); // reserved/padding
-            buf.push(u8::from(e.dirty));
+        for (orig, e) in self.by_slot() {
+            let mut rec = [0u8; 17];
+            rec[..8].copy_from_slice(&orig.to_le_bytes());
+            rec[8..12].copy_from_slice(&e.slot.to_le_bytes());
+            // rec[12..16] reserved/padding
+            rec[16] = u8::from(e.dirty);
+            buf.extend_from_slice(&rec);
         }
         let sum = fletcher64(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
@@ -358,8 +393,7 @@ impl BlockTable {
         }
         let mut buf = record;
         buf.resize(half, 0);
-        let copy_a = buf.clone();
-        buf.extend_from_slice(&copy_a);
+        buf.extend_from_within(..half);
         buf.resize(capacity, 0);
         Ok(buf)
     }
@@ -700,6 +734,34 @@ mod tests {
             &t,
             &BlockTable::decode_region(&region).unwrap()
         ));
+    }
+
+    #[test]
+    fn record_walks_dense_then_spilled_slots() {
+        // Spilled keys on both sides, dirty bits on some: the record must
+        // list entries in slot order, exactly as `entries_by_slot` does.
+        let mut t = BlockTable::new();
+        t.insert(FWD_DENSE_SECTORS + 64, 3);
+        t.insert(512, REV_DENSE_SLOTS + 1);
+        t.insert(128, 0);
+        t.insert(FWD_DENSE_SECTORS + 8, REV_DENSE_SLOTS);
+        t.mark_dirty(128);
+        t.mark_dirty(FWD_DENSE_SECTORS + 8);
+        let mut want = Vec::new();
+        want.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
+        want.extend_from_slice(&4u64.to_le_bytes());
+        for (orig, e) in t.entries_by_slot() {
+            want.extend_from_slice(&orig.to_le_bytes());
+            want.extend_from_slice(&e.slot.to_le_bytes());
+            want.extend_from_slice(&[0u8; 4]);
+            want.push(u8::from(e.dirty));
+        }
+        want.extend_from_slice(&fletcher64(&want).to_le_bytes());
+        assert_eq!(t.encode_record(), want);
+        let slots: Vec<u32> = t.entries_by_slot().iter().map(|(_, e)| e.slot).collect();
+        assert_eq!(slots, [0, 3, REV_DENSE_SLOTS, REV_DENSE_SLOTS + 1]);
+        let back = BlockTable::decode_region(&t.encode_region(&layout()).unwrap()).unwrap();
+        assert!(tables_equal(&t, &back));
     }
 
     #[test]

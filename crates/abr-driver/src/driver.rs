@@ -410,6 +410,14 @@ pub struct AdaptiveDriver {
     obs: DriverObs,
     /// Buffered registry mirroring (flushed at `ReadStats`).
     obs_pending: PendingDriverObs,
+    /// A table write succeeded since the store's table region was last
+    /// brought up to date. Every block movement persists the table with
+    /// a timed region write, but the image itself is encoded into the
+    /// store only when something can next observe or overwrite it —
+    /// [`Self::materialize_table`]. While this is set the in-memory table
+    /// equals the last persisted one: only `submit` can `mark_dirty`, and
+    /// it materializes first.
+    table_pending: bool,
 }
 
 impl fmt::Debug for AdaptiveDriver {
@@ -507,6 +515,7 @@ impl AdaptiveDriver {
             disk_index: 0,
             obs: DriverObs::resolve(),
             obs_pending: PendingDriverObs::default(),
+            table_pending: false,
             config,
         })
     }
@@ -546,8 +555,10 @@ impl AdaptiveDriver {
     }
 
     /// Mutable access to the underlying disk (to install a fault
-    /// injector or revive a powered-off disk).
+    /// injector or revive a powered-off disk). The store's table region
+    /// is brought up to date first.
     pub fn disk_mut(&mut self) -> &mut Disk {
+        self.materialize_table();
         &mut self.disk
     }
 
@@ -572,6 +583,11 @@ impl AdaptiveDriver {
     }
 
     /// Immutable access to the underlying disk.
+    ///
+    /// The store's table region may lag the last block movement: the
+    /// timed table write is issued per moved block, but its bytes land
+    /// in the store at the next [`Self::submit`], [`Self::crash`] or
+    /// [`Self::disk_mut`]. Read the region through one of those.
     pub fn disk(&self) -> &Disk {
         &self.disk
     }
@@ -661,6 +677,9 @@ impl AdaptiveDriver {
     /// how disks were relabelled. The file system never allocates block 0
     /// (it is the superblock's home), so well-behaved stacks are safe.
     pub fn submit(&mut self, req: IoRequest, now: SimTime) -> Result<RequestId, DriverError> {
+        // Before `resolve` can dirty an entry, so the image is the table
+        // as of the last block movement.
+        self.materialize_table();
         if req.n_sectors == 0 {
             return Err(DriverError::EmptyTransfer);
         }
@@ -1267,13 +1286,9 @@ impl AdaptiveDriver {
         // metadata: the entry goes in only after the copy is durable, and
         // comes back out if the table itself cannot be persisted.
         self.table.insert(orig_phys, slot);
-        match self.write_table(&layout, now + busy) {
-            Ok(d) => busy += d,
-            Err(e) => {
-                self.table.remove(orig_phys);
-                return Err(e);
-            }
-        }
+        busy += self.write_table(&layout, now + busy, |t| {
+            t.remove(orig_phys);
+        })?;
         Ok(IoctlReply::Moved { ops: 3, busy })
     }
 
@@ -1380,19 +1395,18 @@ impl AdaptiveDriver {
             }
         }
         self.table.remove(orig_phys);
-        match self.write_table(layout, now + busy) {
+        let restore = |t: &mut BlockTable| {
+            t.insert(orig_phys, entry.slot);
+            if entry.dirty {
+                t.mark_dirty(orig_phys);
+            }
+        };
+        match self.write_table(layout, now + busy, restore) {
             Ok(d) => {
                 busy += d;
                 ops += 1;
             }
-            Err(e) => {
-                // Roll back to match the on-disk table.
-                self.table.insert(orig_phys, entry.slot);
-                if entry.dirty {
-                    self.table.mark_dirty(orig_phys);
-                }
-                return Err((busy, e));
-            }
+            Err(e) => return Err((busy, e)),
         }
         if lost {
             self.lost.insert(orig_phys);
@@ -1487,19 +1501,18 @@ impl AdaptiveDriver {
     /// Persist the block table into the table region (dual-copy format),
     /// returning the time the write took.
     ///
-    /// On failure only the persisted prefix of the new image reaches the
-    /// store (torn writes), the failure is counted, and the caller must
-    /// roll back any in-memory table change it has not yet committed so
-    /// memory keeps matching the on-disk table.
+    /// A successful write only marks the region pending; its image
+    /// reaches the store at [`Self::materialize_table`]. On failure
+    /// `undo` rolls back the caller's uncommitted table change so memory
+    /// keeps matching the on-disk table, the store gets the old image
+    /// plus whatever prefix of the new one a torn write persisted, and
+    /// the failure is counted.
     fn write_table(
         &mut self,
         layout: &ReservedLayout,
         now: SimTime,
+        undo: impl FnOnce(&mut BlockTable),
     ) -> Result<SimDuration, DriverError> {
-        let bytes = self
-            .table
-            .encode_region(layout)
-            .expect("table sized by config.table_max_entries");
         let (elapsed, res) = self.serviced(
             IoDir::Write,
             layout.start_sector,
@@ -1508,11 +1521,15 @@ impl AdaptiveDriver {
         );
         match res {
             Ok(_) => {
-                self.disk.store_mut().write(layout.start_sector, &bytes);
+                self.table_pending = true;
                 Ok(elapsed)
             }
             Err(e) => {
-                if e.fault == DiskFault::TornWrite && e.persisted > 0 {
+                let torn = (e.fault == DiskFault::TornWrite && e.persisted > 0)
+                    .then(|| self.table_image(layout));
+                undo(&mut self.table);
+                self.materialize_table();
+                if let Some(bytes) = torn {
                     let end = (e.persisted as usize * SECTOR_SIZE).min(bytes.len());
                     self.disk
                         .store_mut()
@@ -1521,6 +1538,33 @@ impl AdaptiveDriver {
                 self.perf.record_table_write_failure();
                 Err(e.into())
             }
+        }
+    }
+
+    /// The table region's image of the in-memory table.
+    fn table_image(&self, layout: &ReservedLayout) -> Vec<u8> {
+        self.table
+            .encode_region(layout)
+            .expect("table sized by config.table_max_entries")
+    }
+
+    /// Write the image of the in-memory table into the store's table
+    /// region if a successful table write left it pending. Runs wherever
+    /// the store can next be read or overwritten: the top of `submit`,
+    /// `crash`, `disk_mut`, and a failed table write before its torn
+    /// prefix lands. The in-memory table then still equals the last
+    /// persisted one (see `table_pending`), so the bytes are exactly
+    /// those of the last table write.
+    fn materialize_table(&mut self) {
+        if !self.table_pending {
+            return;
+        }
+        self.table_pending = false;
+        if let Some(layout) = self.layout {
+            let bytes = self.table_image(&layout);
+            #[cfg(feature = "sanitize")]
+            self.table.assert_region_image(&bytes);
+            self.disk.store_mut().write(layout.start_sector, &bytes);
         }
     }
 
@@ -1563,8 +1607,10 @@ impl AdaptiveDriver {
     }
 
     /// Detach without any cleanup, modelling a crash: returns the raw
-    /// disk so a new driver can re-attach and exercise recovery.
-    pub fn crash(self) -> Disk {
+    /// disk so a new driver can re-attach and exercise recovery. The
+    /// table region holds the last persisted table.
+    pub fn crash(mut self) -> Disk {
+        self.materialize_table();
         self.disk
     }
 }
